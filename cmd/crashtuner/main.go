@@ -43,7 +43,7 @@ import (
 
 func main() {
 	var (
-		system     = flag.String("system", "yarn", "system under test: yarn, hdfs, hbase, zookeeper, cassandra")
+		system     = flag.String("system", "yarn", "system under test: yarn, hdfs, hbase, zookeeper, cassandra, kubelike, toysys")
 		seed       = flag.Int64("seed", 11, "seed for every run of the campaign")
 		scale      = flag.Int("scale", 1, "workload scale")
 		verbose    = flag.Bool("v", false, "print every per-point report")
@@ -178,7 +178,7 @@ func main() {
 	fmt.Printf("  log patterns: %d, parsed instances: %d (unmatched %d)\n",
 		res.Patterns, res.Parsed, res.Unmatched)
 	meta := res.Analysis.Census()
-	total := r.Program().Census()
+	total := res.Analysis.Program.Census()
 	fmt.Printf("  meta-info: %d/%d types, %d/%d fields, %d/%d access points\n",
 		meta.Types, total.Types, meta.Fields, total.Fields, meta.AccessPoints, total.AccessPoints)
 	fmt.Printf("  static crash points: %d (pruned: ctor %d, unused %d, sanity %d)\n\n",

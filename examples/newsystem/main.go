@@ -5,7 +5,9 @@
 //
 //  1. an executable behaviour on the simulator (cluster.Runner/Run),
 //  2. an IR model of its code (classes, fields, methods, logging
-//     statements) whose instruction indexes match the probe calls, and
+//     statements) whose instruction indexes match the probe calls,
+//     built once per process and shared — Program returns a
+//     package-level sync.OnceValue, never a fresh build — and
 //  3. probe calls at every candidate crash-point site.
 //
 // — plus two optional but strongly recommended contracts:
@@ -45,7 +47,8 @@ func main() {
 
 	fmt.Println("Authoring checklist (see internal/systems/toysys):")
 	fmt.Println("  1. implement cluster.Runner: Name, Workload, Hosts, Program, NewRun")
-	fmt.Println("  2. model the code in IR; keep Pt* constants aligned with instruction indexes")
+	fmt.Println("  2. model the code in IR; keep Pt* constants aligned with instruction indexes;")
+	fmt.Println("     build it once in a sync.OnceValue and return that shared, immutable program")
 	fmt.Println("  3. call probe.PreRead/PostWrite at the matching sites, with runtime values")
 	fmt.Println("  4. log meta-info the way real systems do — the analysis only sees your logs")
 	fmt.Println("  5. schedule mid-run timers with AfterKeyed/EveryKeyed and implement")

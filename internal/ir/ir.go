@@ -16,6 +16,7 @@ package ir
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -235,6 +236,12 @@ func (m *Method) IsIOMethod(p *Program) bool {
 }
 
 // Program is the IR of one system under test.
+//
+// A program is mutable only until Build: AddClass on a built program
+// panics. Each system builds its program once per process and shares it
+// (cluster.Runner.Program), so a built program is immutable by contract —
+// every query is read-only and safe for concurrent use, and no caller may
+// modify the classes, fields, methods or instructions it returns.
 type Program struct {
 	System  string
 	classes map[TypeID]*Class
@@ -248,24 +255,21 @@ type Program struct {
 
 // NewProgram returns an empty program for the named system.
 func NewProgram(system string) *Program {
-	return &Program{
-		System:  system,
-		classes: make(map[TypeID]*Class),
-		methods: make(map[MethodID]*Method),
-		fields:  make(map[FieldID]*Field),
-		callers: make(map[MethodID][]*Instr),
-	}
+	return &Program{System: system, classes: make(map[TypeID]*Class)}
 }
 
 // AddClass registers a class. It panics on duplicates (model bugs should
-// fail loudly at construction time).
+// fail loudly at construction time) and on a built program, which may be
+// shared and must not change.
 func (p *Program) AddClass(c *Class) *Class {
+	if p.built {
+		panic(fmt.Sprintf("ir: AddClass(%s) on built program %s", c.Name, p.System))
+	}
 	if _, dup := p.classes[c.Name]; dup {
 		panic(fmt.Sprintf("ir: duplicate class %s", c.Name))
 	}
 	p.classes[c.Name] = c
 	p.order = append(p.order, c.Name)
-	p.built = false
 	return c
 }
 
@@ -276,35 +280,51 @@ func (p *Program) Build() *Program {
 	if p.built {
 		return p
 	}
-	p.methods = make(map[MethodID]*Method)
-	p.fields = make(map[FieldID]*Field)
+	nFields, nMethods := 0, 0
+	for _, name := range p.order {
+		c := p.classes[name]
+		nFields += len(c.Fields)
+		nMethods += len(c.Methods)
+	}
+	p.methods = make(map[MethodID]*Method, nMethods)
+	p.fields = make(map[FieldID]*Field, nFields)
 	p.callers = make(map[MethodID][]*Instr)
+	var ids []byte
+	var ends []int
 	for _, name := range p.order {
 		c := p.classes[name]
 		for _, f := range c.Fields {
 			f.Owner = c.Name
-			if _, dup := p.fields[f.ID()]; dup {
-				panic(fmt.Sprintf("ir: duplicate field %s", f.ID()))
+			id := f.ID()
+			if _, dup := p.fields[id]; dup {
+				panic(fmt.Sprintf("ir: duplicate field %s", id))
 			}
-			p.fields[f.ID()] = f
+			p.fields[id] = f
 		}
 		for _, m := range c.Methods {
 			m.Owner = c.Name
-			if _, dup := p.methods[m.ID()]; dup {
-				panic(fmt.Sprintf("ir: duplicate method %s", m.ID()))
+			mid := m.ID()
+			if _, dup := p.methods[mid]; dup {
+				panic(fmt.Sprintf("ir: duplicate method %s", mid))
 			}
-			p.methods[m.ID()] = m
+			p.methods[mid] = m
+			// The method's point IDs are cut from one string
+			// "C.m#0C.m#1...": one allocation per method, not per
+			// instruction.
+			ids, ends = ids[:0], ends[:0]
+			for i := range m.Instrs {
+				ids = append(ids, mid...)
+				ids = append(ids, '#')
+				ids = strconv.AppendInt(ids, int64(i), 10)
+				ends = append(ends, len(ids))
+			}
+			all, start := string(ids), 0
 			for i, ins := range m.Instrs {
-				ins.ID = PointID(fmt.Sprintf("%s#%d", m.ID(), i))
+				ins.ID = PointID(all[start:ends[i]])
+				start = ends[i]
 				if m.Ctor {
 					ins.InCtor = true
 				}
-			}
-		}
-	}
-	for _, name := range p.order {
-		for _, m := range p.classes[name].Methods {
-			for _, ins := range m.Instrs {
 				if ins.Op == OpInvoke {
 					p.callers[ins.Callee] = append(p.callers[ins.Callee], ins)
 				}
@@ -338,31 +358,30 @@ func (p *Program) Callers(id MethodID) []*Instr { return p.callers[id] }
 
 // Instr returns the instruction with the given point ID, or nil.
 func (p *Program) Instr(id PointID) *Instr {
-	mid, _, ok := SplitPoint(id)
+	mid, idx, ok := SplitPoint(id)
 	if !ok {
 		return nil
 	}
 	m := p.methods[mid]
-	if m == nil {
+	if m == nil || idx >= len(m.Instrs) || m.Instrs[idx].ID != id {
 		return nil
 	}
-	for _, ins := range m.Instrs {
-		if ins.ID == id {
-			return ins
-		}
-	}
-	return nil
+	return m.Instrs[idx]
 }
 
-// SplitPoint decomposes "Class.method#3" into its method and index.
+// SplitPoint decomposes "Class.method#3" into its method and index. It
+// accepts only the form Build assigns: a non-empty method ID, '#', and a
+// canonical non-negative decimal index (no sign, spaces, trailing bytes
+// or leading zeros).
 func SplitPoint(id PointID) (MethodID, int, bool) {
 	s := string(id)
 	i := strings.LastIndexByte(s, '#')
-	if i < 0 {
+	if i <= 0 {
 		return "", 0, false
 	}
-	var idx int
-	if _, err := fmt.Sscanf(s[i+1:], "%d", &idx); err != nil {
+	num := s[i+1:]
+	idx, err := strconv.Atoi(num)
+	if err != nil || idx < 0 || strconv.Itoa(idx) != num {
 		return "", 0, false
 	}
 	return MethodID(s[:i]), idx, true

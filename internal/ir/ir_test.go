@@ -87,12 +87,33 @@ func TestBuildAssignsIDs(t *testing.T) {
 }
 
 func TestSplitPoint(t *testing.T) {
-	mid, idx, ok := SplitPoint("a.B.c#12")
-	if !ok || mid != "a.B.c" || idx != 12 {
-		t.Errorf("SplitPoint = %v %v %v", mid, idx, ok)
+	cases := []struct {
+		id  PointID
+		mid MethodID
+		idx int
+		ok  bool
+	}{
+		{"a.B.c#12", "a.B.c", 12, true},
+		{"A.m#0", "A.m", 0, true},
+		{"A.m#3", "A.m", 3, true},
+		{"A#b.m#7", "A#b.m", 7, true},
+		{"nohash", "", 0, false},
+		{"A.m#", "", 0, false},
+		{"#3", "", 0, false},
+		{"A.m#3x", "", 0, false},
+		{"A.m# 3", "", 0, false},
+		{"A.m#3 ", "", 0, false},
+		{"A.m#+3", "", 0, false},
+		{"A.m#-1", "", 0, false},
+		{"A.m#03", "", 0, false},
+		{"A.m#0x3", "", 0, false},
+		{"A.m#99999999999999999999", "", 0, false},
 	}
-	if _, _, ok := SplitPoint("nohash"); ok {
-		t.Error("SplitPoint accepted malformed id")
+	for _, c := range cases {
+		mid, idx, ok := SplitPoint(c.id)
+		if mid != c.mid || idx != c.idx || ok != c.ok {
+			t.Errorf("SplitPoint(%q) = %q %d %v, want %q %d %v", c.id, mid, idx, ok, c.mid, c.idx, c.ok)
+		}
 	}
 }
 
@@ -102,9 +123,31 @@ func TestInstrLookup(t *testing.T) {
 	if ins == nil || ins.Op != OpInvoke {
 		t.Fatalf("Instr lookup = %+v", ins)
 	}
-	if p.Instr("t.Missing.m#0") != nil {
-		t.Error("lookup of missing instr succeeded")
+	if got := p.Instr("t.Scheduler.completeContainer#3"); got == nil || got.Op != OpReturn {
+		t.Errorf("Instr lookup of last instruction = %+v", got)
 	}
+	for _, id := range []PointID{
+		"t.Missing.m#0",
+		"t.Scheduler.completeContainer#4",  // past the end
+		"t.Scheduler.completeContainer#03", // non-canonical index
+		"t.Scheduler.completeContainer#-1",
+	} {
+		if p.Instr(id) != nil {
+			t.Errorf("Instr(%q) succeeded", id)
+		}
+	}
+}
+
+// A built program is shared by every pipeline in the process; growing it
+// afterwards must fail loudly.
+func TestAddClassAfterBuildPanics(t *testing.T) {
+	p := tinyProgram()
+	defer func() {
+		if recover() == nil {
+			t.Error("AddClass on a built program did not panic")
+		}
+	}()
+	p.AddClass(&Class{Name: "t.Late"})
 }
 
 func TestCallers(t *testing.T) {

@@ -1,8 +1,8 @@
 package ir
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // SynthesizeBackground adds nClasses of plain, non-meta-info "business
@@ -25,19 +25,27 @@ func SynthesizeBackground(p *Program, nClasses int, seed int64) {
 		"java.lang.String", "java.lang.Integer", "java.lang.Long",
 		"java.lang.Boolean", "java.lang.Double",
 	}
+	// Names are built without fmt: this loop runs once per system per
+	// process and is most of the cost of a cold IR build. The RNG draw
+	// order below is part of every system's model and must not change.
+	prefix := p.System + ".internal.util.Background"
+	var num []byte
 	for i := 0; i < nClasses; i++ {
-		name := TypeID(fmt.Sprintf("%s.internal.util.Background%04d", p.System, i))
+		num = strconv.AppendInt(num[:0], int64(i), 10)
+		name := TypeID(prefix + "000"[:max(0, 4-len(num))] + string(num))
 		isIO := rng.Intn(12) == 0
 		c := &Class{Name: name}
 		if isIO {
 			c.Interfaces = []TypeID{"java.io.Closeable"}
 		}
 		nFields := 2 + rng.Intn(8)
-		for f := 0; f < nFields; f++ {
-			fld := &Field{
-				Name: fmt.Sprintf("f%d", f),
-				Type: scalarTypes[rng.Intn(len(scalarTypes))],
-			}
+		fields := make([]Field, nFields)
+		fieldIDs := make([]FieldID, nFields)
+		c.Fields = make([]*Field, nFields)
+		for f := range fields {
+			fld := &fields[f]
+			fld.Name = "f" + strconv.Itoa(f)
+			fld.Type = scalarTypes[rng.Intn(len(scalarTypes))]
 			if rng.Intn(6) == 0 {
 				fld.Type = "java.util.ArrayList"
 				fld.ElemType = scalarTypes[rng.Intn(len(scalarTypes))]
@@ -45,30 +53,34 @@ func SynthesizeBackground(p *Program, nClasses int, seed int64) {
 			if rng.Intn(5) == 0 {
 				fld.SetOnlyInCtor = true
 			}
-			c.Fields = append(c.Fields, fld)
+			fieldIDs[f] = FieldID(string(name) + "." + fld.Name)
+			c.Fields[f] = fld
 		}
 		nMethods := 1 + rng.Intn(4)
 		for mi := 0; mi < nMethods; mi++ {
-			m := &Method{Name: fmt.Sprintf("work%d", mi), Public: true}
+			m := &Method{Name: "work" + strconv.Itoa(mi), Public: true}
 			nInstr := 2 + rng.Intn(10)
+			instrs := make([]Instr, nInstr+1)
+			m.Instrs = make([]*Instr, nInstr+1)
 			for k := 0; k < nInstr; k++ {
-				fld := c.Fields[rng.Intn(len(c.Fields))]
-				var ins *Instr
+				f := rng.Intn(len(c.Fields))
+				ins := &instrs[k]
+				ins.Field = fieldIDs[f]
 				switch {
-				case fld.IsCollection():
-					method := "get"
+				case c.Fields[f].IsCollection():
+					ins.Op, ins.CollMethod = OpCollOp, "get"
 					if rng.Intn(2) == 0 {
-						method = "add"
+						ins.CollMethod = "add"
 					}
-					ins = &Instr{Op: OpCollOp, Field: FieldID(string(name) + "." + fld.Name), CollMethod: method}
 				case rng.Intn(2) == 0:
-					ins = &Instr{Op: OpGetField, Field: FieldID(string(name) + "." + fld.Name)}
+					ins.Op = OpGetField
 				default:
-					ins = &Instr{Op: OpPutField, Field: FieldID(string(name) + "." + fld.Name)}
+					ins.Op = OpPutField
 				}
-				m.Instrs = append(m.Instrs, ins)
+				m.Instrs[k] = ins
 			}
-			m.Instrs = append(m.Instrs, &Instr{Op: OpReturn})
+			instrs[nInstr].Op = OpReturn
+			m.Instrs[nInstr] = &instrs[nInstr]
 			c.Methods = append(c.Methods, m)
 		}
 		if isIO {
@@ -93,6 +105,5 @@ func SynthesizeBackground(p *Program, nClasses int, seed int64) {
 		}
 		p.AddClass(c)
 	}
-	p.built = false
 	p.Build()
 }

@@ -94,7 +94,11 @@ func TestGraphBareHostUpgrade(t *testing.T) {
 // has the Fig. 5 logging statements, a PBImpl subtype, a collection field
 // keyed by NodeId, a ctor-set-field class (RMContainerImpl), and a
 // base-typed logged field.
-func yarnMini() *ir.Program {
+func yarnMini() *ir.Program { return yarnMiniModel().Build() }
+
+// yarnMiniModel is yarnMini before Build, so tests can add classes (a
+// built program is immutable).
+func yarnMiniModel() *ir.Program {
 	p := ir.NewProgram("yarnmini")
 	p.AddClass(&ir.Class{Name: "yarn.api.records.NodeId"})
 	p.AddClass(&ir.Class{Name: "yarn.api.records.NodeIdPBImpl", Super: "yarn.api.records.NodeId"})
@@ -160,7 +164,7 @@ func yarnMini() *ir.Program {
 		Name:   "yarn.util.Checksum",
 		Fields: []*ir.Field{{Name: "sum", Type: "java.lang.Long"}},
 	})
-	return p.Build()
+	return p
 }
 
 func parse(p *ir.Program, lines []string) []*logparse.Match {
@@ -311,7 +315,7 @@ func TestInferNoLogsNoMeta(t *testing.T) {
 }
 
 func TestBackgroundCorpusFullyPruned(t *testing.T) {
-	p := yarnMini()
+	p := yarnMiniModel()
 	ir.SynthesizeBackground(p, 100, 11)
 	a := Infer(p, parse(p, fig5Lines), testHosts)
 	for _, ti := range a.MetaTypes() {

@@ -294,7 +294,7 @@ func (x *Experiments) Table10() string {
 		if res == nil {
 			continue
 		}
-		total := r.Program().Census()
+		total := res.Analysis.Program.Census()
 		meta := res.Analysis.Census()
 		static := len(res.Static.Points)
 		dyn := len(res.Dynamic.Points)

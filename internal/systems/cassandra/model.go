@@ -1,6 +1,10 @@
 package cassandra
 
-import "repro/internal/ir"
+import (
+	"sync"
+
+	"repro/internal/ir"
+)
 
 const (
 	tEndpoint = ir.TypeID("cassandra.locator.InetAddressAndPort")
@@ -122,9 +126,12 @@ func buildModel() *ir.Program {
 // a large codebase but only one logged meta-info type).
 const BackgroundClasses = 280
 
-// Program implements cluster.Runner.
-func (r *Runner) Program() *ir.Program {
+// Program implements cluster.Runner: the shared, immutable IR, built on
+// first use and then reused by every Runner in the process.
+func (r *Runner) Program() *ir.Program { return program() }
+
+var program = sync.OnceValue(func() *ir.Program {
 	p := buildModel()
 	ir.SynthesizeBackground(p, BackgroundClasses, 0xCA55)
 	return p.Build()
-}
+})

@@ -52,7 +52,11 @@ type Runner interface {
 	Name() string
 	// Workload names the driving workload (Table 4: WordCount+curl, ...).
 	Workload() string
-	// Program returns the system's IR model.
+	// Program returns the system's IR model. The program is built once
+	// per process (a package-level sync.OnceValue) and shared by every
+	// caller and every Runner of the system, so it must not depend on
+	// Runner fields and must not be mutated: it is immutable after
+	// Build, and ir.Program.AddClass panics on it.
 	Program() *ir.Program
 	// Hosts returns the configured hostnames of the cluster.
 	Hosts() []string

@@ -1,6 +1,10 @@
 package hbase
 
-import "repro/internal/ir"
+import (
+	"sync"
+
+	"repro/internal/ir"
+)
 
 const (
 	tServerName = ir.TypeID("hbase.ServerName")
@@ -191,9 +195,12 @@ func buildModel() *ir.Program {
 // BackgroundClasses sizes the synthesized non-meta corpus (Table 10).
 const BackgroundClasses = 300
 
-// Program implements cluster.Runner.
-func (r *Runner) Program() *ir.Program {
+// Program implements cluster.Runner: the shared, immutable IR, built on
+// first use and then reused by every Runner in the process.
+func (r *Runner) Program() *ir.Program { return program() }
+
+var program = sync.OnceValue(func() *ir.Program {
 	p := buildModel()
 	ir.SynthesizeBackground(p, BackgroundClasses, 0xB45E)
 	return p.Build()
-}
+})

@@ -1,6 +1,10 @@
 package hdfs
 
-import "repro/internal/ir"
+import (
+	"sync"
+
+	"repro/internal/ir"
+)
 
 const (
 	tDNID    = ir.TypeID("hdfs.protocol.DatanodeID")
@@ -195,9 +199,12 @@ func buildModel() *ir.Program {
 // BackgroundClasses sizes the synthesized non-meta corpus (Table 10).
 const BackgroundClasses = 350
 
-// Program implements cluster.Runner.
-func (r *Runner) Program() *ir.Program {
+// Program implements cluster.Runner: the shared, immutable IR, built on
+// first use and then reused by every Runner in the process.
+func (r *Runner) Program() *ir.Program { return program() }
+
+var program = sync.OnceValue(func() *ir.Program {
 	p := buildModel()
 	ir.SynthesizeBackground(p, BackgroundClasses, 0xD1F5)
 	return p.Build()
-}
+})

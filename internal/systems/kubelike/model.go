@@ -1,6 +1,10 @@
 package kubelike
 
-import "repro/internal/ir"
+import (
+	"sync"
+
+	"repro/internal/ir"
+)
 
 const (
 	tNodeName = ir.TypeID("k8s.types.NodeName")
@@ -96,9 +100,12 @@ func buildModel() *ir.Program {
 // BackgroundClasses sizes the synthesized corpus.
 const BackgroundClasses = 150
 
-// Program implements cluster.Runner.
-func (r *Runner) Program() *ir.Program {
+// Program implements cluster.Runner: the shared, immutable IR, built on
+// first use and then reused by every Runner in the process.
+func (r *Runner) Program() *ir.Program { return program() }
+
+var program = sync.OnceValue(func() *ir.Program {
 	p := buildModel()
 	ir.SynthesizeBackground(p, BackgroundClasses, 0x8085)
 	return p.Build()
-}
+})

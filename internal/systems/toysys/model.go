@@ -1,11 +1,23 @@
 package toysys
 
-import "repro/internal/ir"
+import (
+	"sync"
+
+	"repro/internal/ir"
+)
 
 // Program returns the IR model of the toy system. Instruction indexes
 // must stay aligned with the Pt* constants in toysys.go: the probe calls
 // in the Go implementation cite these IDs.
-func (r *Runner) Program() *ir.Program {
+//
+// The model is the template's memo pattern: a package-level
+// sync.OnceValue builds it on first use, and every Runner in the process
+// shares the one immutable program. The model must not depend on Runner
+// fields (worker count, Fix* switches), and nothing may modify it after
+// Build.
+func (r *Runner) Program() *ir.Program { return program() }
+
+var program = sync.OnceValue(func() *ir.Program {
 	p := ir.NewProgram("toysys")
 	p.AddClass(&ir.Class{Name: "toy.WorkerId"})
 	p.AddClass(&ir.Class{Name: "toy.TaskId"})
@@ -93,4 +105,4 @@ func (r *Runner) Program() *ir.Program {
 		},
 	})
 	return p.Build()
-}
+})

@@ -1,6 +1,10 @@
 package yarn
 
-import "repro/internal/ir"
+import (
+	"sync"
+
+	"repro/internal/ir"
+)
 
 // Short type aliases for the model.
 const (
@@ -325,10 +329,12 @@ func buildModel() *ir.Program {
 // ~1% of all types in a real codebase).
 const BackgroundClasses = 400
 
-// Program implements cluster.Runner. The model is rebuilt per call; use
-// the result for the whole pipeline run.
-func (r *Runner) Program() *ir.Program {
+// Program implements cluster.Runner: the shared, immutable IR, built on
+// first use and then reused by every Runner in the process.
+func (r *Runner) Program() *ir.Program { return program() }
+
+var program = sync.OnceValue(func() *ir.Program {
 	p := buildModel()
 	ir.SynthesizeBackground(p, BackgroundClasses, 0xCAFE)
 	return p.Build()
-}
+})

@@ -1,6 +1,10 @@
 package zookeeper
 
-import "repro/internal/ir"
+import (
+	"sync"
+
+	"repro/internal/ir"
+)
 
 const (
 	tZNode    = ir.TypeID("zookeeper.data.ZNode")
@@ -111,9 +115,12 @@ func buildModel() *ir.Program {
 // the smallest system in the paper's census (Table 10).
 const BackgroundClasses = 80
 
-// Program implements cluster.Runner.
-func (r *Runner) Program() *ir.Program {
+// Program implements cluster.Runner: the shared, immutable IR, built on
+// first use and then reused by every Runner in the process.
+func (r *Runner) Program() *ir.Program { return program() }
+
+var program = sync.OnceValue(func() *ir.Program {
 	p := buildModel()
 	ir.SynthesizeBackground(p, BackgroundClasses, 0x200C)
 	return p.Build()
-}
+})
