@@ -481,12 +481,12 @@ func sweepScales(scale int) []int {
 
 // writeCampaignBench measures the injection campaign both ways in one
 // process — every run replayed from t=0, then every run forked from the
-// snapshot plan's clone ladder — and writes the speedup record the
+// snapshot plan's clone rungs — and writes the speedup record the
 // bench-gate CI job holds against the committed BENCH_campaign.json
 // floor. Analysis, profiling, the baseline and the reference pass all
 // run outside the timed loops. Alongside the gated-scale headline the
-// record carries the retained heap per clone rung (the memory price of
-// skipping prefix replay) and a points-scale sweep showing the speedup
+// record carries the plan's retained heap per clone rung (the memory
+// price of skipping prefix replay) and a points-scale sweep showing the speedup
 // growing with timeline length.
 func writeCampaignBench(path, system string, seed int64, scale int) (benchgate.CampaignRecord, error) {
 	var rec benchgate.CampaignRecord
@@ -499,28 +499,18 @@ func writeCampaignBench(path, system string, seed int64, scale int) (benchgate.C
 		return rec, err
 	}
 
-	// Clone memory: build the plan twice, once with rung capture
-	// suppressed, and difference the post-GC retained heap. The lean
-	// plan's own footprint (fingerprints, stashed logs) cancels out,
-	// leaving what the clone ladder itself pins.
-	var base, leanStats, cloneStats runtime.MemStats
+	// Clone memory: the whole plan's post-GC retained heap — captures,
+	// frozen views and clone templates alike — per rung.
+	var base, planStats runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&base)
-	t.NoClone = true
-	leanPlan := t.BuildSnapshotPlan()
-	runtime.GC()
-	runtime.ReadMemStats(&leanStats)
-	t.NoClone = false
 	plan := t.BuildSnapshotPlan()
 	runtime.GC()
-	runtime.ReadMemStats(&cloneStats)
-	runtime.KeepAlive(leanPlan)
+	runtime.ReadMemStats(&planStats)
 	if plan.Rungs() == 0 {
-		return rec, fmt.Errorf("campaign-bench: %s captured no clone rungs; the benchmark would compare lean replay against itself", r.Name())
+		return rec, fmt.Errorf("campaign-bench: %s captured no clone rungs; every fork would take the legacy path", r.Name())
 	}
-	cloneBytes := (int64(cloneStats.HeapAlloc) - int64(leanStats.HeapAlloc)) -
-		(int64(leanStats.HeapAlloc) - int64(base.HeapAlloc))
-	bytesPerSnapshot := cloneBytes / int64(plan.Rungs())
+	bytesPerSnapshot := (int64(planStats.HeapAlloc) - int64(base.HeapAlloc)) / int64(plan.Rungs())
 	if bytesPerSnapshot < 0 {
 		bytesPerSnapshot = 0
 	}

@@ -10,14 +10,16 @@
 //     package-level sync.OnceValue, never a fresh build — and
 //  3. probe calls at every candidate crash-point site.
 //
-// — plus two optional but strongly recommended contracts:
+// — plus mid-run forking, which cluster.Run requires: implement
+// CloneRun (deep-copy the model, re-wire handlers on the cloned engine)
+// and schedule every mid-run timer through the keyed API
+// (sim.AfterKeyed/EveryKeyed with handlers registered via Node.Handle),
+// so injection campaigns fork each run from a deep-copied engine clone
+// parked just before its crash point. A closure timer pending at that
+// instant makes the engine refuse the clone, and the point silently
+// pays a full replay instead.
 //
-//   - schedule every mid-run timer through the keyed API
-//     (sim.AfterKeyed/EveryKeyed with handlers registered via
-//     Node.Handle) and implement cluster.Cloneable, so injection
-//     campaigns fork your runs from deep-copied engine clones instead
-//     of replaying each prefix from t=0. Systems that skip this still
-//     work — the campaign transparently falls back to lean replay.
+// One optional but strongly recommended contract:
 //
 //   - implement cluster.Healer, so partition campaigns (-partition) can
 //     re-admit nodes after a cut heals: Healed(isolated) should replay
@@ -51,8 +53,8 @@ func main() {
 	fmt.Println("     build it once in a sync.OnceValue and return that shared, immutable program")
 	fmt.Println("  3. call probe.PreRead/PostWrite at the matching sites, with runtime values")
 	fmt.Println("  4. log meta-info the way real systems do — the analysis only sees your logs")
-	fmt.Println("  5. schedule mid-run timers with AfterKeyed/EveryKeyed and implement")
-	fmt.Println("     cluster.Cloneable, so campaigns fork clones instead of replaying prefixes")
+	fmt.Println("  5. implement Run.CloneRun and schedule mid-run timers with AfterKeyed/")
+	fmt.Println("     EveryKeyed, so campaigns fork clones instead of replaying prefixes")
 	fmt.Println("  6. implement cluster.Healer (re-register isolated nodes after a cut heals)")
 	fmt.Println("     and report oracle evidence via NoteSplitBrain/NoteStaleRead, so")
 	fmt.Println("     -partition campaigns can cut your nodes and judge the reconnect")

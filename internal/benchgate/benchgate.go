@@ -66,12 +66,13 @@ type CampaignRecord struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	// CloneRungs is how many engine clones the reference pass retained
-	// as fork bases; zero means the system fell back to lean replay for
-	// every point, which for a migrated system is a regression.
+	// as fork bases, one per distinct pre-hit event boundary; zero means
+	// every point fell back to a full replay, which is a regression.
 	CloneRungs int `json:"clone_rungs"`
-	// CloneBytesPerSnapshot is the retained heap per captured clone
-	// (live bytes after GC attributable to one rung of the ladder), the
-	// memory price paid for skipping prefix replay.
+	// CloneBytesPerSnapshot is the whole snapshot plan's retained heap
+	// (live bytes after GC: point captures, frozen stash views and clone
+	// templates) divided by CloneRungs — the memory price paid for
+	// skipping prefix replay, per rung.
 	CloneBytesPerSnapshot int64 `json:"clone_bytes_per_snapshot"`
 	// Sweep records the speedup at increasing workload scales, measured
 	// with the same interleaved estimator as the headline number. Clone

@@ -23,7 +23,7 @@ import (
 //
 //   - Service and keyed-handler registrations, shutdown/death hooks. These
 //     close over the system model, so the system's CloneRun re-registers
-//     them against its own copied state (see cluster.Cloneable).
+//     them against its own copied state (see cluster.Run.CloneRun).
 //   - The liveness monitor registry. LivenessMonitor.CloneTo rebuilds it,
 //     because onLost also closes over the model.
 //   - OnStep. The driver (cluster.DriveResume) installs its own.

@@ -31,7 +31,7 @@ func keyedChatter(seed int64) (*Engine, []NodeID) {
 }
 
 // wireKeyedChatter re-registers keyedChatter's services and handlers on
-// a cloned engine — the system-model half of the Cloneable contract,
+// a cloned engine — the system-model half of the CloneRun contract,
 // inlined for a test with no model state beyond the topology.
 func wireKeyedChatter(e *Engine, ids []NodeID) {
 	for _, id := range ids {

@@ -11,11 +11,10 @@ import "hash/fnv"
 // The fingerprint is the fence of the copy-on-write snapshot machinery
 // (internal/trigger's SnapshotPlan): a snapshot taken during the
 // reference pass records the fingerprint at its crash point, and a
-// forked injection run — whether it replays the deterministic prefix or
-// resumes from an Engine.Clone — verifies the recorded value at the same
-// dispatch ordinal before injecting. The fingerprint is what makes both
-// "replay the prefix" and "the clone is the prefix" checkable instead of
-// assumed.
+// forked injection run — resumed from an Engine.Clone parked just before
+// the hit — verifies the recorded value at the same dispatch ordinal
+// before injecting. The fingerprint is what makes "the clone is the
+// prefix" checkable instead of assumed.
 //
 // Recycled is the cumulative count of freelist recycles. Every recycle
 // bumps the pooled event's generation, so equal Recycled counts on the

@@ -392,7 +392,7 @@ func (rn *run) Healed(isolated []sim.NodeID) {
 	}
 }
 
-// CloneRun implements cluster.Cloneable (recipe in the toysys template):
+// CloneRun implements cluster.Run.CloneRun (recipe in the toysys template):
 // deep-copy the ring, gossip state and hints, re-wire both roles, rebuild
 // the liveness monitor on the clone.
 func (rn *run) CloneRun(cc cluster.CloneContext) cluster.Run {

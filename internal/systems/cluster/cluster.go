@@ -79,10 +79,34 @@ type Run interface {
 	// actually fired during the run (used to attribute detections to the
 	// paper's bug IDs; the oracle itself never reads these).
 	Witnesses() []string
+	// CloneRun rebuilds the run's model on a cloned engine, so injection
+	// campaigns can fork the run mid-flight (use the package-level Clone
+	// helper, which deep-copies the engine first). CloneRun must:
+	//
+	//   - deep-copy every piece of mutable model state (maps, slices,
+	//     structs the handlers mutate) so the source and clone never
+	//     share it;
+	//   - re-register all services, keyed-timer handlers and
+	//     shutdown/death hooks on cc.Eng's nodes (a cloned engine carries
+	//     none), including any registered dynamically mid-run (e.g. a
+	//     service that only exists once some workload step reached it);
+	//   - re-create liveness monitors via their CloneTo so the builtin
+	//     LivenessKey timers find them.
+	//
+	// CloneRun must be strictly read-only on the source run: campaign
+	// workers clone one immutable template concurrently. Shared immutable
+	// data (the Runner, interned ID tables, message bodies already in
+	// flight) may alias.
+	//
+	// Engine.Clone refuses an engine with a pending closure timer
+	// (After/AfterOn/Every), so every timer a system schedules once
+	// running must use the keyed API; a run forked at a refused instant
+	// falls back to a full replay.
+	CloneRun(cc CloneContext) Run
 }
 
-// CloneContext carries everything a system needs to rebuild itself on a
-// cloned engine: the clone, the timer remap for any outstanding Timer
+// CloneContext carries everything Run.CloneRun needs to rebuild a system
+// on a cloned engine: the clone, the timer remap for any outstanding Timer
 // handles (in practice only sim.LivenessMonitor.CloneTo consumes it), and
 // the Config the cloned run should report — typically the source run's
 // identity (Seed, Scale) with a fresh Probe and Logs supplied by the
@@ -93,44 +117,16 @@ type CloneContext struct {
 	Cfg   Config
 }
 
-// Cloneable is implemented by runs whose model state can be deep-copied
-// mid-run. CloneRun must:
-//
-//   - deep-copy every piece of mutable model state (maps, slices, structs
-//     the handlers mutate) so the source and clone never share it;
-//   - re-register all services, keyed-timer handlers and shutdown/death
-//     hooks on cc.Eng's nodes (a cloned engine carries none), including
-//     any registered dynamically mid-run (e.g. a service that only exists
-//     once some workload step reached it);
-//   - re-create liveness monitors via their CloneTo so the builtin
-//     LivenessKey timers find them.
-//
-// CloneRun must be strictly read-only on the source run: campaign workers
-// clone one immutable template concurrently. Shared immutable data (the
-// Runner, interned ID tables, message bodies already in flight) may alias.
-//
-// Systems that schedule closure timers (After/AfterOn/Every) while
-// running cannot be cloned — Engine.Clone refuses — so implementing
-// Cloneable also means migrating every mid-run timer to the keyed API.
-type Cloneable interface {
-	CloneRun(cc CloneContext) Run
-}
-
 // Clone forks run at its current instant: the engine state is deep-copied
 // and the system rebuilds its model on top via CloneRun. It reports false
-// when the run's system does not implement Cloneable or the engine has
-// uncopyable pending work, in which case the caller falls back to lean
-// replay.
+// when the engine has uncopyable pending work (a closure timer), in which
+// case the caller falls back to a full run.
 func Clone(run Run, cfg Config) (Run, bool) {
-	cl, ok := run.(Cloneable)
-	if !ok {
-		return nil, false
-	}
 	e2, remap, err := run.Engine().Clone()
 	if err != nil {
 		return nil, false
 	}
-	return cl.CloneRun(CloneContext{Eng: e2, Remap: remap, Cfg: cfg}), true
+	return run.CloneRun(CloneContext{Eng: e2, Remap: remap, Cfg: cfg}), true
 }
 
 // Rejoiner is implemented by runs whose systems model node restart: after

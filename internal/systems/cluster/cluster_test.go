@@ -77,6 +77,21 @@ func (d *driveRun) Start() {
 	}
 }
 
+// CloneRun is never reached: Start schedules closure timers, so the
+// engine refuses the clone first.
+func (d *driveRun) CloneRun(CloneContext) Run { panic("driveRun cloned despite closure timers") }
+
+// TestCloneRefusesClosureTimers pins Clone's error path: a run with a
+// pending closure timer cannot be forked, and the caller is told so
+// instead of getting a run missing its timers.
+func TestCloneRefusesClosureTimers(t *testing.T) {
+	d := &driveRun{Base: NewBase(Config{}), finishAt: 5 * sim.Second}
+	d.Start()
+	if _, ok := Clone(d, Config{}); ok {
+		t.Fatal("Clone forked a run with pending closure timers")
+	}
+}
+
 func TestDriveStopsOnCompletion(t *testing.T) {
 	d := &driveRun{Base: NewBase(Config{}), finishAt: 5 * sim.Second}
 	res := Drive(d, sim.Hour)

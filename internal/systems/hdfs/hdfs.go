@@ -699,7 +699,7 @@ func (rn *run) Healed(isolated []sim.NodeID) {
 	}
 }
 
-// CloneRun implements cluster.Cloneable; see the toysys template for the
+// CloneRun implements cluster.Run.CloneRun; see the toysys template for the
 // four-step recipe.
 func (rn *run) CloneRun(cc cluster.CloneContext) cluster.Run {
 	rn2 := &run{

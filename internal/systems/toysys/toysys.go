@@ -44,7 +44,7 @@ const (
 
 // Keyed-timer keys. Everything the system schedules mid-run goes through
 // sim.AfterKeyed/EveryKeyed with one of these instead of a closure, which
-// is what makes the run cloneable (cluster.Cloneable): pending timers are
+// is what makes the run cloneable (cluster.Run.CloneRun): pending timers are
 // (key, arg) descriptors the engine can deep-copy, and the handlers are
 // plain methods re-registered by the wiring helpers (wireMaster /
 // wireWorker) on whichever engine the run currently lives on — fresh
@@ -388,9 +388,9 @@ func (rn *run) Healed(isolated []sim.NodeID) {
 	}
 }
 
-// ---- mid-run forking (cluster.Cloneable) ----
+// ---- mid-run forking (cluster.Run.CloneRun) ----
 
-// CloneRun implements cluster.Cloneable; like Rejoin, it is the template
+// CloneRun implements cluster.Run.CloneRun; like Rejoin, it is the template
 // for authoring cloning in a new system (see examples/newsystem). The
 // recipe:
 //

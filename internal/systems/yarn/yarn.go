@@ -746,7 +746,7 @@ func (rn *run) Healed(isolated []sim.NodeID) {
 	}
 }
 
-// CloneRun implements cluster.Cloneable; see the toysys template for the
+// CloneRun implements cluster.Run.CloneRun; see the toysys template for the
 // four-step recipe. The tasks slab backs the maps pointers, so both are
 // rebuilt together; rn.app aliases an entry of rn.apps and the clone
 // preserves that aliasing.

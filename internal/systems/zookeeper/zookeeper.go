@@ -386,7 +386,7 @@ func (rn *run) Healed(isolated []sim.NodeID) {
 	}
 }
 
-// CloneRun implements cluster.Cloneable (recipe in the toysys template):
+// CloneRun implements cluster.Run.CloneRun (recipe in the toysys template):
 // deep-copy every peer's replicated tree and the ping bookkeeping, then
 // re-wire all peers. ZooKeeper has no liveness monitor — its watchdog is
 // the keyCheckLeader series already in the cloned queue.

@@ -91,13 +91,6 @@ func TestPartitionCampaignDeterministic(t *testing.T) {
 	if got := fork.Campaign(points); !reflect.DeepEqual(got, want) {
 		t.Fatalf("fork-path divergence:\n got %+v\nwant %+v", got, want)
 	}
-
-	lean := partitionTester(2, &trigger.PartitionOptions{}, nil)
-	lean.NoClone = true
-	lean.Snapshots = lean.BuildSnapshotPlan()
-	if got := lean.Campaign(points); !reflect.DeepEqual(got, want) {
-		t.Fatalf("lean-replay divergence:\n got %+v\nwant %+v", got, want)
-	}
 }
 
 // TestPartitionModesInject exercises hold and delay cuts end to end.
@@ -163,6 +156,10 @@ func TestNeverHealOption(t *testing.T) {
 type fakeRun struct{ *cluster.Base }
 
 func (f *fakeRun) Start() {}
+
+func (f *fakeRun) CloneRun(cc cluster.CloneContext) cluster.Run {
+	return &fakeRun{Base: f.CloneBase(cc)}
+}
 
 // TestEvaluatePartitionNeverHeals pins the oracle ordering contract on
 // the never-heals branch: cut healed, ledger still holding an alive

@@ -6,37 +6,33 @@
 // The reference pass captures, at the moment each point first fires:
 //
 //   - the access's dispatch ordinal — how many probe accesses were
-//     delivered before it (probe.SkipAccesses fast-forwards a fork to
-//     exactly that access without rendering a single call stack);
+//     delivered before it (probe.SkipAccesses fast-forwards a fork from
+//     its rung to exactly that access without rendering a call stack);
 //   - a copy-on-write stash.View — the value→node state the live stash
 //     held at that instant, frozen in O(1) (metainfo.Graph.Snapshot);
-//   - a sim.Fingerprint — the replay fence that proves the fork reached
-//     the same engine state before any fault is injected.
+//   - a sim.Fingerprint — the fence that proves the fork reached the
+//     same engine state before any fault is injected.
 //
-// Forks come in two flavours, tried in order:
+// Every fork is a clone fork. A capture pass — one extra lean replay of
+// the fault-free prefix per plan — parks one clone template (a rung) at
+// each distinct pre-hit event boundary: right after the event before a
+// point's hit, or right after Start() for a hit inside the first event.
+// An injection run clones its point's own rung, resumes it mid-flight
+// and skips only the hit event's own earlier accesses (SkipAccesses), so
+// its cost is independent of how much timeline precedes the hit. Cloning
+// is O(state) because every system schedules its mid-run timers through
+// the keyed API, leaving no closures in the engine queue
+// (cluster.Run.CloneRun).
 //
-// Clone forks (the fast path): systems that implement cluster.Cloneable
-// schedule every mid-run timer through the keyed API, so their engines
-// hold no closures and Engine.Clone can deep-copy the whole run in
-// O(state). A capture pass — one extra lean replay per plan — steps to a
-// bounded ladder of event-count boundaries (one rung just before each
-// crash point's hit, thinned to Tester.MaxClones) and clones a template
-// at each. An injection run then clones the nearest rung at or below its
-// point and lean-replays only the short gap up to the hit, so its cost
-// is O(gap), independent of how much timeline precedes the rung.
-//
-// Lean-replay forks (the fallback): a fresh deterministic run with the
-// observation layers elided — logs to a dslog.Discard root, Lean probe,
-// target resolution against the frozen view — fast-forwarded over the
-// whole prefix by dispatch ordinal. O(prefix), but requires nothing of
-// the system.
-//
-// Both flavours verify the recorded fingerprint at the hit before
-// injecting, so "the clone is the prefix" and "replay the prefix" are
-// checked invariants, not assumptions: on any mismatch the fork is
-// discarded and the point falls back (clone → lean replay → legacy full
-// run), counted in crashtuner_clone_fallbacks_total and
-// crashtuner_snapshot_invalidations_total.
+// The fork verifies the recorded fingerprint at the hit before
+// injecting, so "the clone is the prefix" is a checked invariant, not an
+// assumption. On a mismatch the fork is discarded and the point re-runs
+// on the legacy full path, counted in crashtuner_clone_fallbacks_total
+// and crashtuner_snapshot_invalidations_total. A point with no rung —
+// its boundary's clone was refused (a closure timer was pending), or it
+// fired inside Start() before any boundary — takes the legacy path
+// directly. The legacy path is also the differential oracle every fork
+// is tested against.
 //
 // Points the reference pass never saw firing cannot fire in any
 // injection run either (the pre-injection prefix is deterministic), so
@@ -59,13 +55,14 @@ import (
 
 // Process-wide snapshot instruments on the default registry.
 var (
-	snapshotForks   = obs.Default.Counter("crashtuner_snapshot_forks_total")
-	snapshotSynth   = obs.Default.Counter("crashtuner_snapshot_synthesized_total")
+	snapshotSynth = obs.Default.Counter("crashtuner_snapshot_synthesized_total")
+	// snapshotInvalid counts runs re-executed on the legacy path after a
+	// clone fork was abandoned.
 	snapshotInvalid = obs.Default.Counter("crashtuner_snapshot_invalidations_total")
 	// cloneForks counts injection runs served by resuming an Engine.Clone
-	// of a captured rung; cloneFallbacks counts runs that wanted the clone
-	// path but fell back to lean replay (fence mismatch, or a system whose
-	// CloneRun produced an uncopyable engine state).
+	// of a captured rung; cloneFallbacks counts clone forks abandoned for
+	// the legacy path (fence mismatch, or a template the engine refused
+	// to re-clone).
 	cloneForks     = obs.Default.Counter("crashtuner_clone_forks_total")
 	cloneFallbacks = obs.Default.Counter("crashtuner_clone_fallbacks_total")
 )
@@ -113,11 +110,10 @@ type SnapshotPlan struct {
 
 	points map[probe.DynPoint]pointSnapshot
 
-	// rungs is the clone ladder: engine+model templates captured at
-	// ascending event-count boundaries by the capture pass. Empty when the
-	// system is not Cloneable or cloning was disabled. Templates are
-	// immutable once built; forks re-clone them concurrently.
-	rungs []cloneRung
+	// rungs maps each captured pre-hit event boundary to its engine+model
+	// clone template. Templates are immutable once built; forks re-clone
+	// them concurrently.
+	rungs map[uint64]cloneRung
 
 	// Reference-run results, for synthesizing NotHit reports.
 	refEnd        sim.Time
@@ -127,43 +123,29 @@ type SnapshotPlan struct {
 	refExceptions []sim.Exception
 }
 
-// cloneRung is one captured clone template: the run frozen right after
-// `handled` events were dispatched, with `access` probe accesses
-// delivered by then.
+// cloneRung is one captured clone template: the run frozen at a pre-hit
+// event boundary, with `access` probe accesses delivered by then.
 type cloneRung struct {
-	handled uint64
-	access  uint64
-	run     cluster.Run
+	access uint64
+	run    cluster.Run
 }
 
 // Points returns how many dynamic points the reference pass captured.
 func (p *SnapshotPlan) Points() int { return len(p.points) }
 
-// Rungs returns how many clone templates the capture pass retained; zero
-// means every fork uses lean replay.
+// Rungs returns how many clone templates the capture pass retained.
 func (p *SnapshotPlan) Rungs() int { return len(p.rungs) }
 
-// rungFor returns the highest rung at or below the point's hit — the
-// fork resumes there and lean-replays the remaining gap. ok=false means
-// no rung precedes the hit (or none were captured) and the fork must
-// lean-replay from t=0.
+// rungFor returns the template parked at the point's own pre-hit
+// boundary: right before the hit's event was dispatched. ok=false means
+// the point fired inside Start(), before any boundary, or its boundary's
+// clone was refused.
 func (p *SnapshotPlan) rungFor(ps pointSnapshot) (cloneRung, bool) {
 	if ps.fp.Handled == 0 {
 		return cloneRung{}, false
 	}
-	boundary := ps.fp.Handled - 1 // resume before the hit's own event
-	best := -1
-	for i, r := range p.rungs {
-		if r.handled <= boundary {
-			best = i
-		} else {
-			break
-		}
-	}
-	if best < 0 {
-		return cloneRung{}, false
-	}
-	return p.rungs[best], true
+	r, ok := p.rungs[ps.fp.Handled-1]
+	return r, ok
 }
 
 // ReferenceEnd returns the fault-free reference run's end time.
@@ -214,6 +196,7 @@ func (t *Tester) BuildSnapshotPlan() *SnapshotPlan {
 		deadline: t.RunDeadline(),
 		maxSteps: t.MaxSteps,
 		points:   make(map[probe.DynPoint]pointSnapshot),
+		rungs:    make(map[uint64]cloneRung),
 	}
 	var ordinal uint64
 	pb.OnAccess = func(a probe.Access) {
@@ -243,35 +226,20 @@ func (t *Tester) BuildSnapshotPlan() *SnapshotPlan {
 	return p
 }
 
-// maxClones returns the rung-ladder bound (default 16).
-func (t *Tester) maxClones() int {
-	if t.MaxClones <= 0 {
-		return 16
-	}
-	return t.MaxClones
-}
-
 // captureClones runs the capture pass: one more lean replay of the
-// fault-free prefix, paused at a ladder of event-count boundaries — one
-// just before each point's first hit, thinned to maxClones rungs — and
-// cloned at each pause. Systems that do not implement cluster.Cloneable
-// (or whose engine refuses to clone, e.g. a closure timer slipped in)
-// simply get no rungs and keep lean-replay forks.
+// fault-free prefix, paused at every distinct pre-hit event boundary and
+// cloned at each pause. Boundary 0 is taken right after Start(), before
+// any event dispatches. A boundary whose clone the engine refuses (a
+// closure timer is pending) gets no rung; its points take the legacy
+// path.
 func (t *Tester) captureClones(p *SnapshotPlan) {
-	if t.NoClone || len(p.points) == 0 {
-		return
-	}
 	seen := make(map[uint64]bool, len(p.points))
 	bounds := make([]uint64, 0, len(p.points))
 	for _, ps := range p.points {
-		if ps.fp.Handled <= 1 {
-			// Boundary 0 would need a clone before any event dispatches,
-			// but MaxSteps=0 means "default", not "pause immediately" — and
-			// a zero-event prefix is free to lean-replay anyway.
-			continue
+		if ps.fp.Handled == 0 {
+			continue // fired inside Start(): no boundary precedes it
 		}
-		b := ps.fp.Handled - 1
-		if !seen[b] {
+		if b := ps.fp.Handled - 1; !seen[b] {
 			seen[b] = true
 			bounds = append(bounds, b)
 		}
@@ -280,21 +248,6 @@ func (t *Tester) captureClones(p *SnapshotPlan) {
 		return
 	}
 	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	if max := t.maxClones(); len(bounds) > max {
-		// Thin to max rungs, evenly spread over the sorted boundaries and
-		// always keeping the first and last; points between rungs replay
-		// the gap from the rung below.
-		thin := bounds[:0]
-		prev := -1
-		for i := 0; i < max; i++ {
-			k := i * (len(bounds) - 1) / (max - 1)
-			if k != prev {
-				thin = append(thin, bounds[k])
-				prev = k
-			}
-		}
-		bounds = thin
-	}
 
 	pb := probe.New()
 	pb.Lean = true
@@ -302,9 +255,6 @@ func (t *Tester) captureClones(p *SnapshotPlan) {
 	pb.OnAccess = func(probe.Access) { access++ }
 	cfg := cluster.Config{Seed: t.Seed, Scale: t.Scale, Probe: pb, Logs: dslog.Discard()}
 	sysRun := t.Runner.NewRun(cfg)
-	if _, ok := sysRun.(cluster.Cloneable); !ok {
-		return
-	}
 	e := sysRun.Engine()
 	e.OnStep(func(sim.Time) {
 		if sysRun.Status() != cluster.Running {
@@ -313,40 +263,40 @@ func (t *Tester) captureClones(p *SnapshotPlan) {
 	})
 	sysRun.Start()
 	for _, b := range bounds {
-		e.MaxSteps = b
-		if res := e.Run(p.deadline); !res.Exhausted {
-			// The run ended before this boundary — every remaining rung
-			// lies beyond the reference run's end too. (Points were
-			// captured mid-dispatch, so their pre-hit boundaries are always
-			// reachable; this covers deadline truncation and defensive
-			// drift.)
-			break
+		if b > 0 {
+			// MaxSteps=0 means "default", not "pause immediately", so
+			// boundary 0 is simply the state Start() left behind.
+			e.MaxSteps = b
+			if res := e.Run(p.deadline); !res.Exhausted {
+				// The run ended before this boundary — every remaining one
+				// lies beyond the reference run's end too. (Points were
+				// captured mid-dispatch, so their pre-hit boundaries are
+				// always reachable; this covers deadline truncation and
+				// defensive drift.)
+				break
+			}
 		}
-		tmpl, ok := cluster.Clone(sysRun, cfg)
-		if !ok {
-			break
+		if tmpl, ok := cluster.Clone(sysRun, cfg); ok {
+			p.rungs[b] = cloneRung{access: access, run: tmpl}
 		}
-		p.rungs = append(p.rungs, cloneRung{handled: b, access: access, run: tmpl})
 	}
 }
 
 // runPoint dispatches one campaign job: through the snapshot plan when
-// one is installed and matches the Tester's parameters — clone fork
-// first, lean replay second — and as a full legacy run otherwise (or
-// when both fork flavours trip their fingerprint fences).
+// one is installed and matches the Tester's parameters — NotHit
+// synthesis, then a clone fork from the point's rung — and as a full
+// legacy run otherwise (no rung, or the fork's fingerprint fence
+// tripped).
 func (t *Tester) runPoint(run int, d probe.DynPoint) Report {
 	if p := t.Snapshots; p != nil && p.compatible(t) {
 		ps, hit := p.points[d]
 		if !hit {
 			return t.synthesizeNotHit(run, p, d)
 		}
-		if rung, ok := p.rungFor(ps); ok && !t.NoClone {
+		if rung, ok := p.rungFor(ps); ok {
 			if rep, ok := t.forkClone(run, d, ps, rung); ok {
 				return rep
 			}
-		}
-		if rep, ok := t.forkPoint(run, d, ps); ok {
-			return rep
 		}
 	}
 	return t.testPoint(run, d)
@@ -380,59 +330,26 @@ func (t *Tester) synthesizeNotHit(run int, p *SnapshotPlan, d probe.DynPoint) Re
 	return rep
 }
 
-// forkClone runs one injection by resuming an Engine.Clone of the rung:
-// the system's deep-copied model state picks up mid-flight and only the
-// gap between the rung and the recorded hit is replayed (SkipAccesses
-// counts from the rung's access cursor, not from zero). The same
-// fingerprint fence as forkPoint guards the hit. ok=false means the
-// clone could not be taken or the fence tripped; the caller falls back
-// to a lean replay from t=0.
+// forkClone runs one injection by resuming an Engine.Clone of the
+// point's rung: the system's deep-copied model state picks up mid-flight
+// right before the hit's event, with observation elided — discard logs,
+// no stash, lean probe — and SkipAccesses passing over any earlier
+// accesses of that same event. At the hit the fingerprint fence must
+// match the reference capture; target resolution then reads the frozen
+// view, and everything from the injection on is the legacy path.
+// ok=false means the fork was abandoned and the caller must fall back to
+// a full run.
 func (t *Tester) forkClone(run int, d probe.DynPoint, ps pointSnapshot, rung cloneRung) (Report, bool) {
-	phaseStart := time.Now()
+	setupStart := time.Now()
 	pb := probe.New()
 	pb.Lean = true
 	pb.SkipAccesses = ps.ordinal - rung.access
 	sysRun, ok := cluster.Clone(rung.run, cluster.Config{Seed: t.Seed, Scale: t.Scale, Probe: pb, Logs: dslog.Discard()})
 	if !ok {
 		cloneFallbacks.Inc()
-		return Report{}, false
-	}
-	rep, ok := t.armAndDrive(run, d, ps, sysRun, pb, phaseStart, true)
-	if !ok {
-		cloneFallbacks.Inc()
-		return Report{}, false
-	}
-	cloneForks.Inc()
-	return rep, true
-}
-
-// forkPoint runs one injection forked from the snapshot: a fresh
-// deterministic run with observation elided — discard logs, no stash,
-// lean probe — fast-forwarded to the recorded hit by dispatch ordinal.
-// At the hit the fingerprint fence must match the reference capture;
-// target resolution then reads the frozen view, and everything from the
-// injection on is the legacy path. ok=false means the fence tripped and
-// the caller must fall back to a full run.
-func (t *Tester) forkPoint(run int, d probe.DynPoint, ps pointSnapshot) (Report, bool) {
-	phaseStart := time.Now()
-	pb := probe.New()
-	pb.Lean = true
-	pb.SkipAccesses = ps.ordinal
-	sysRun := t.Runner.NewRun(cluster.Config{Seed: t.Seed, Scale: t.Scale, Probe: pb, Logs: dslog.Discard()})
-	rep, ok := t.armAndDrive(run, d, ps, sysRun, pb, phaseStart, false)
-	if !ok {
 		snapshotInvalid.Inc()
 		return Report{}, false
 	}
-	snapshotForks.Inc()
-	return rep, true
-}
-
-// armAndDrive is the shared back half of both fork flavours: arm the
-// single-injection hook on the fast-forwarded run, drive it (resuming
-// mid-flight for clones, from Start for lean replays), verify the fence
-// and classify. ok=false reports a tripped fence.
-func (t *Tester) armAndDrive(run int, d probe.DynPoint, ps pointSnapshot, sysRun cluster.Run, pb *probe.Probe, setupStart time.Time, resume bool) (Report, bool) {
 	e := sysRun.Engine()
 	e.MaxSteps = t.MaxSteps
 
@@ -448,7 +365,7 @@ func (t *Tester) armAndDrive(run int, d probe.DynPoint, ps pointSnapshot, sysRun
 		pb.OnAccess = nil
 		if a.Point != d.Point || a.Scenario != d.Scenario || e.Fingerprint() != ps.fp {
 			// The fork diverged from the reference pass. Abandon it; the
-			// point falls back one level.
+			// point falls back to the legacy path.
 			aligned = false
 			e.Stop()
 			return
@@ -464,13 +381,10 @@ func (t *Tester) armAndDrive(run int, d probe.DynPoint, ps pointSnapshot, sysRun
 	t.emitPhase(run, "setup", time.Since(setupStart), 0)
 
 	phaseStart := time.Now()
-	var res sim.RunResult
-	if resume {
-		res = cluster.DriveResume(sysRun, t.RunDeadline())
-	} else {
-		res = cluster.Drive(sysRun, t.RunDeadline())
-	}
+	res := cluster.DriveResume(sysRun, t.RunDeadline())
 	if !aligned {
+		cloneFallbacks.Inc()
+		snapshotInvalid.Inc()
 		return Report{}, false
 	}
 	t.emitPhase(run, "drive", time.Since(phaseStart), res.End)
@@ -482,5 +396,6 @@ func (t *Tester) armAndDrive(run int, d probe.DynPoint, ps pointSnapshot, sysRun
 	rep.NewExceptions = t.newUnhandled(e)
 	rep.Outcome = t.classify(fired, resolvedMiss, sysRun, res, rep.NewExceptions, t.timeoutFactor())
 	t.emitPhase(run, "oracle", time.Since(phaseStart), 0)
+	cloneForks.Inc()
 	return rep, true
 }

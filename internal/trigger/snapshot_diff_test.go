@@ -95,12 +95,17 @@ func diffCampaigns(t *testing.T, tester *trigger.Tester, plan *trigger.SnapshotP
 
 // TestSnapshotCampaignsMatchLegacyEverySystem is the differential
 // acceptance oracle: on all seven systems, the snapshot-forked campaign
-// must reproduce the full-replay campaign exactly.
+// must reproduce the full-replay campaign exactly. It also pins the
+// one-tier invariant: every hit point is served by a clone of its own
+// rung, with no fallback to the legacy path. The fork counters are
+// process-global, so this test must not run in parallel.
 func TestSnapshotCampaignsMatchLegacyEverySystem(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full differential campaigns on all systems")
 	}
 	scale := oracleScale(t)
+	cloneForks := obs.Default.Counter("crashtuner_clone_forks_total")
+	cloneFallbacks := obs.Default.Counter("crashtuner_clone_fallbacks_total")
 	for _, r := range append(all.Runners(), all.Extensions()...) {
 		r := r
 		t.Run(r.Name(), func(t *testing.T) {
@@ -112,7 +117,23 @@ func TestSnapshotCampaignsMatchLegacyEverySystem(t *testing.T) {
 			if plan.Points() == 0 {
 				t.Fatal("reference pass captured no points")
 			}
+			if plan.Rungs() == 0 {
+				t.Fatal("the plan captured no clone rungs")
+			}
+			var hits uint64
+			for _, d := range points {
+				if plan.Hit(d) {
+					hits++
+				}
+			}
+			forks, fallbacks := cloneForks.Value(), cloneFallbacks.Value()
 			diffCampaigns(t, tester, plan, points)
+			if v := cloneForks.Value() - forks; v != hits {
+				t.Errorf("clone_forks_total moved by %d, want %d (one per hit point)", v, hits)
+			}
+			if v := cloneFallbacks.Value(); v != fallbacks {
+				t.Errorf("clone_fallbacks_total moved %d→%d, want no fallback", fallbacks, v)
+			}
 		})
 	}
 }
@@ -140,55 +161,6 @@ func TestPartitionCampaignsMatchLegacyEverySystem(t *testing.T) {
 				t.Fatal("reference pass captured no points")
 			}
 			diffCampaigns(t, tester, plan, points)
-		})
-	}
-}
-
-// TestCloneForksMatchLeanReplayEverySystem is the clone-vs-replay
-// equivalence oracle: on all seven systems, forking every crash point by
-// Engine.Clone (resume a deep-copied run mid-flight) and by lean replay
-// (re-drive the prefix from t=0) must produce byte-identical reports and
-// triage signatures. Every system migrated to the keyed-timer API, so
-// every plan must actually capture clone rungs — a system silently
-// falling back to replay-only here is a migration regression.
-func TestCloneForksMatchLeanReplayEverySystem(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full differential campaigns on all systems")
-	}
-	scale := oracleScale(t)
-	for _, r := range append(all.Runners(), all.Extensions()...) {
-		r := r
-		t.Run(r.Name(), func(t *testing.T) {
-			tester, points := snapshotFixture(t, r, 11, scale)
-			plan := tester.BuildSnapshotPlan()
-			if plan.Points() > 0 && plan.Rungs() == 0 {
-				t.Fatalf("%s captured no clone rungs: Cloneable regression", r.Name())
-			}
-			tester.Snapshots = plan
-			clone := tester.Campaign(points)
-			tester.NoClone = true // same plan, but forks skip the rungs
-			lean := tester.Campaign(points)
-			tester.NoClone = false
-			tester.Snapshots = nil
-
-			if len(clone) != len(lean) {
-				t.Fatalf("%d clone reports vs %d lean-replay reports", len(clone), len(lean))
-			}
-			sys := r.Name()
-			for i := range clone {
-				if !reflect.DeepEqual(clone[i], lean[i]) {
-					t.Fatalf("report %d (%s) diverged:\nclone %+v\nlean  %+v",
-						i, points[i].Key(), clone[i], lean[i])
-				}
-				ci := triage.FromRunRecord(trigger.RunRecordOf(sys, "test", i, tester.Seed, tester.Scale, clone[i]))
-				li := triage.FromRunRecord(trigger.RunRecordOf(sys, "test", i, tester.Seed, tester.Scale, lean[i]))
-				if !reflect.DeepEqual(ci, li) {
-					t.Fatalf("triage record %d diverged:\nclone %+v\nlean  %+v", i, ci, li)
-				}
-			}
-			if cs, ls := trigger.Summarize(clone), trigger.Summarize(lean); !reflect.DeepEqual(cs, ls) {
-				t.Fatalf("summaries diverged:\nclone %+v\nlean  %+v", cs, ls)
-			}
 		})
 	}
 }

@@ -210,14 +210,6 @@ type Tester struct {
 	// stay byte-identical — a fingerprint fence falls back to the full
 	// path on any divergence. See snapshot.go.
 	Snapshots *SnapshotPlan
-	// MaxClones bounds the clone ladder a snapshot plan captures for
-	// Cloneable systems (default 16): more rungs mean shorter replay gaps
-	// per fork but more retained engine copies. See snapshot.go.
-	MaxClones int
-	// NoClone disables clone forking entirely — the plan captures no
-	// rungs and every fork lean-replays its prefix. For ablations and the
-	// campaign benchmark's baseline leg.
-	NoClone bool
 }
 
 // timeoutFactor returns the §4.1.3 timeout-issue threshold factor.

@@ -156,6 +156,8 @@ func (f fakeRun) Status() cluster.Status { return f.status }
 func (f fakeRun) FailureReason() string  { return "" }
 func (f fakeRun) Witnesses() []string    { return nil }
 
+func (f fakeRun) CloneRun(cluster.CloneContext) cluster.Run { return f }
+
 func TestNewUnhandledFiltersBaselineAndHandled(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := e.AddNode("n", 1)
